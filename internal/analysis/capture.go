@@ -62,10 +62,10 @@ var captureCount atomic.Uint64
 // path has performed in this process.
 func CaptureCount() uint64 { return captureCount.Load() }
 
-// Codec totals: every finished capture writer (serial or stitched)
-// folds its trace.Counters in here, so operators can see suite-wide
-// logical-vs-encoded bytes — the basis for sizing the disk tier — on
-// /v1/stats without re-scanning any stream.
+// Codec totals: every finished capture writer folds its trace.Counters
+// in here, so operators can see suite-wide logical-vs-encoded bytes —
+// the basis for sizing the disk tier — on /v1/stats without
+// re-scanning any stream.
 var (
 	codecCaptures atomic.Uint64
 	codecRecords  atomic.Uint64
@@ -126,8 +126,6 @@ func captureKey(p *program.Program, rc RunConfig) tracestore.Key {
 	h.Uint(rc.Seed)
 	h.Float(rc.Scale)
 	h.CPUConfig(rc.Core)
-	h.Uint(rc.CheckpointInterval)
-	h.Uint(uint64(rc.CaptureWorkers))
 	return h.Sum()
 }
 
@@ -143,10 +141,6 @@ func captureKey(p *program.Program, rc RunConfig) tracestore.Key {
 func captureConfig(rc RunConfig) RunConfig {
 	rc.Interval, rc.Jitter, rc.Seed = 0, 0, 0
 	rc.Scale = 0
-	// The checkpoint knobs steer how a capture is produced, never what
-	// it contains (the parallel path is byte-identical to serial, by
-	// verification), so parallel and serial captures share one entry.
-	rc.CheckpointInterval, rc.CaptureWorkers = 0, 0
 	return rc
 }
 
@@ -160,10 +154,8 @@ func captureConfig(rc RunConfig) RunConfig {
 func capturedTrace(ctx context.Context, p *program.Program, rc RunConfig) ([]byte, *cpu.Stats, error) {
 	crc := captureConfig(rc)
 	entry, err := TraceStore().GetOrPut(captureKey(p, crc), func() ([]byte, error) {
-		// One increment per workload simulated, regardless of how many
-		// interval segments the parallel path splits the work into.
 		captureCount.Add(1)
-		data, stats, err := CaptureTraceCheckpointed(ctx, p, crc, rc.CheckpointInterval, rc.CaptureWorkers)
+		data, stats, err := CaptureTrace(ctx, p, crc)
 		if err != nil {
 			return nil, err
 		}

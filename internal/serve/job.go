@@ -92,16 +92,6 @@ type ConfigSpec struct {
 	// (0 < scale ≤ Config.MaxScale; ignored for inline programs, whose
 	// Iters is explicit).
 	Scale *float64 `json:"scale,omitempty"`
-	// CheckpointInterval enables interval-parallel capture: the trace is
-	// recorded as stitched segments from checkpoints taken every this
-	// many committed instructions (0 or absent: serial capture; must be
-	// ≥ 2 otherwise). Results are byte-identical either way; this is a
-	// latency knob, not an accuracy knob.
-	CheckpointInterval *uint64 `json:"checkpoint_interval,omitempty"`
-	// CaptureWorkers bounds the per-capture segment worker pool (0 or
-	// absent: GOMAXPROCS; must not be negative). Only meaningful with
-	// checkpoint_interval set.
-	CaptureWorkers *int `json:"capture_workers,omitempty"`
 }
 
 // AllTechniques lists the valid JobRequest.Techniques entries in
@@ -207,17 +197,13 @@ func (j *job) watch() <-chan struct{} {
 }
 
 // begin transitions queued → running and installs the worker's cancel
-// hook. It reports false — finalizing the job as canceled — when a
-// cancellation raced the pickup.
+// hook. It reports false, leaving the job queued, when a cancellation
+// raced the pickup; the caller then persists and publishes the
+// canceled state.
 func (j *job) begin(now time.Time, cancel context.CancelFunc) bool {
 	j.mu.Lock()
 	if j.cancelReq {
-		j.status = StatusCanceled
-		j.err = &ErrorBody{Kind: kindCanceled, Status: statusForKind(kindCanceled), Message: "canceled before running"}
-		j.finished = now
-		ch := j.broadcastLocked()
 		j.mu.Unlock()
-		close(ch)
 		return false
 	}
 	j.status = StatusRunning
@@ -345,24 +331,10 @@ func (s *Server) buildJob(req *JobRequest) (*job, error) {
 		if req.Config.Scale != nil {
 			rc.Scale = *req.Config.Scale
 		}
-		if req.Config.CheckpointInterval != nil {
-			rc.CheckpointInterval = *req.Config.CheckpointInterval
-		}
-		if req.Config.CaptureWorkers != nil {
-			rc.CaptureWorkers = *req.Config.CaptureWorkers
-		}
 	}
 	if rc.Interval == 0 {
 		return nil, simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},
 			"config.interval must be positive")
-	}
-	if rc.CheckpointInterval == 1 {
-		return nil, simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},
-			"config.checkpoint_interval must be 0 (serial) or >= 2")
-	}
-	if rc.CaptureWorkers < 0 {
-		return nil, simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},
-			"config.capture_workers must not be negative")
 	}
 	if rc.Scale <= 0 || rc.Scale > s.cfg.MaxScale {
 		return nil, simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{},

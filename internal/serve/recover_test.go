@@ -2,13 +2,18 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/serve"
 	"repro/internal/workloads"
@@ -107,22 +112,21 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 // TestRecoveryRequeuesInterrupted: a job journaled as submitted+running
 // but never terminal (killed mid-run) is re-enqueued on startup and
 // completes with profiles byte-identical to an uninterrupted local run.
+// j-000008 is a request journaled by an older build that still carried
+// the removed interval-parallel capture knobs: replay decodes requests
+// leniently, so it requeues and finishes like any other.
 func TestRecoveryRequeuesInterrupted(t *testing.T) {
 	dir := t.TempDir()
+	legacyReq := json.RawMessage(`{"req":{"tenant":"t1","workload":"mcf",` +
+		`"config":{"scale":0.05,"checkpoint_interval":500,"capture_workers":2},"techniques":["tea"]}}`)
 	writeJournalRecords(t, dir,
 		journal.Record{Type: "submitted", JobID: "j-000007", TimeUnixMs: 1000, Data: submitReq("t0")},
 		journal.Record{Type: "running", JobID: "j-000007", TimeUnixMs: 2000},
+		journal.Record{Type: "submitted", JobID: "j-000008", TimeUnixMs: 3000, Data: legacyReq},
+		journal.Record{Type: "running", JobID: "j-000008", TimeUnixMs: 4000},
 	)
 
 	ts := journaledServer(t, dir, serve.Config{Workers: 2})
-	v := await(t, ts, "j-000007")
-	if v.Status != serve.StatusDone {
-		t.Fatalf("requeued job ended %s: %+v", v.Status, v.Error)
-	}
-	resp, got := getJSON(t, ts.url("/v1/jobs/j-000007/profiles/tea"))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("profile after requeue: %d", resp.StatusCode)
-	}
 	rc := analysis.DefaultRunConfig()
 	rc.Scale = 0.05
 	w, err := workloads.ByName("mcf")
@@ -130,18 +134,155 @@ func TestRecoveryRequeuesInterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := localProfiles(t, w, rc, []string{"tea"})["tea"]
-	if !bytes.Equal(got, want) {
-		t.Fatal("re-run profile differs from an uninterrupted local run")
+	for _, id := range []string{"j-000007", "j-000008"} {
+		v := await(t, ts, id)
+		if v.Status != serve.StatusDone {
+			t.Fatalf("requeued job %s ended %s: %+v", id, v.Status, v.Error)
+		}
+		resp, got := getJSON(t, ts.url("/v1/jobs/"+id+"/profiles/tea"))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s profile after requeue: %d", id, resp.StatusCode)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s re-run profile differs from an uninterrupted local run", id)
+		}
 	}
 	st := statsView(t, ts)
-	if st.Durability.Recovery.Requeued != 1 {
-		t.Fatalf("recovery stats: %+v; want 1 requeued job", st.Durability.Recovery)
+	if st.Durability.Recovery.Requeued != 2 {
+		t.Fatalf("recovery stats: %+v; want 2 requeued jobs", st.Durability.Recovery)
 	}
 	// New submissions must not collide with the recovered ID space.
 	id := submit(t, ts, `{"workload":"mcf","config":{"scale":0.05}}`)
-	if id <= "j-000007" {
-		t.Fatalf("post-recovery ID %s does not advance past recovered j-000007", id)
+	if id <= "j-000008" {
+		t.Fatalf("post-recovery ID %s does not advance past recovered j-000008", id)
 	}
+}
+
+// TestTerminalStatusPersistedBeforePublish pins the durability
+// contract: any terminal status a client has observed is already in
+// the WAL. The journal runs on a slow filesystem, so publishing before
+// persisting would leave a wide window. The first time the client sees
+// a job terminal, the test copies the journal directory (what a kill -9
+// at that instant leaves behind) and later recovers a worker-less
+// server from the copy: the job must come back with the observed
+// status, never requeued. The three jobs cover the three terminal
+// paths: done, canceled while running, and canceled while queued.
+func TestTerminalStatusPersistedBeforePublish(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultinject.NewFaultFS(nil)
+	ffs.SlowIO(10 * time.Millisecond)
+	ts := startQueueOnly(t, serve.Config{Workers: 1, JournalDir: dir, JournalFS: ffs})
+	t.Cleanup(func() { ts.srv.Close() })
+
+	done := submit(t, ts, `{"workload":"mcf","config":{"scale":0.05},"techniques":["tea"]}`)
+	running := submit(t, ts, `{"workload":"bwaves","config":{"scale":1.0}}`)
+	queued := submit(t, ts, `{"workload":"mcf","config":{"scale":0.05}}`)
+	cancelJob(t, ts, queued)
+
+	// Start the single worker only now: it runs done, then running,
+	// then drains queued as canceled.
+	ctx, stop := context.WithCancel(context.Background())
+	exited := make(chan struct{})
+	go func() {
+		ts.srv.Run(ctx)
+		close(exited)
+	}()
+	t.Cleanup(func() {
+		stop()
+		<-exited
+	})
+
+	snapshots := map[string]string{}
+	observed := map[string]serve.Status{}
+	cancelSent := false
+	deadline := time.Now().Add(60 * time.Second)
+	for len(observed) < 3 && time.Now().Before(deadline) {
+		for _, id := range []string{done, running, queued} {
+			if _, ok := observed[id]; ok {
+				continue
+			}
+			v := pollView(t, ts, id)
+			switch {
+			case v.Status.Terminal():
+				snapshots[id] = copyDir(t, dir)
+				observed[id] = v.Status
+			case id == running && v.Status == serve.StatusRunning && !cancelSent:
+				cancelJob(t, ts, id)
+				cancelSent = true
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	want := map[string]serve.Status{done: serve.StatusDone, running: serve.StatusCanceled, queued: serve.StatusCanceled}
+	for id, status := range want {
+		if observed[id] != status {
+			t.Fatalf("job %s observed %q, want %q", id, observed[id], status)
+		}
+	}
+
+	for id, status := range observed {
+		ts2 := startQueueOnly(t, serve.Config{JournalDir: snapshots[id]})
+		if got := pollView(t, ts2, id).Status; got != status {
+			t.Errorf("job %s: client saw %s, but a crash at that moment recovers it as %s", id, status, got)
+		}
+		ts2.srv.Close()
+	}
+}
+
+// pollView fetches one job view.
+func pollView(t *testing.T, ts *testServer, id string) serve.JobView {
+	t.Helper()
+	resp, data := getJSON(t, ts.url("/v1/jobs/"+id))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("poll %s: got %d; body: %s", id, resp.StatusCode, data)
+	}
+	var v serve.JobView
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatalf("poll %s: %v", id, err)
+	}
+	return v
+}
+
+// cancelJob sends DELETE /v1/jobs/{id} and expects 202.
+func cancelJob(t *testing.T, ts *testServer, id string) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, ts.url("/v1/jobs/"+id), nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("cancel %s: got %d, want 202", id, resp.StatusCode)
+	}
+}
+
+// copyDir copies the journal directory tree into a fresh temp dir.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatalf("copy journal: %v", err)
+	}
+	return dst
 }
 
 // TestRecoveryEdgeCases covers the replay state machine's tolerance:

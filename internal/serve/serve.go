@@ -259,6 +259,12 @@ func (s *Server) Idle() bool {
 // cancel), run the capture/replay pipeline, and record the terminal
 // state. ctx is the worker pool's root; every path into the simulator
 // derives from it.
+//
+// Every terminal state is journaled before it is published: a status a
+// client has observed is already in the WAL, so a crash right after
+// the observation restores the job instead of re-running it. In
+// degraded memory-only mode the journal calls are no-ops and the state
+// is still published.
 func (s *Server) runJob(ctx context.Context, j *job) {
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -267,11 +273,12 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		jctx, tcancel = context.WithTimeout(jctx, s.cfg.JobTimeout)
 		defer tcancel()
 	}
-	if !j.begin(s.cfg.Now(), cancel) {
-		// Canceled while queued; registry already holds the terminal
-		// state.
+	if start := s.cfg.Now(); !j.begin(start, cancel) {
+		// Canceled while queued.
+		body := &ErrorBody{Kind: kindCanceled, Status: statusForKind(kindCanceled), Message: "canceled before running"}
+		s.journalTerminal(j, StatusCanceled, body)
+		j.fail(start, body, StatusCanceled)
 		s.noteTransition(StatusQueued, StatusCanceled)
-		s.journalTerminal(j, StatusCanceled, j.view(false).Error)
 		return
 	}
 	s.noteTransition(StatusQueued, StatusRunning)
@@ -285,22 +292,22 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		if body.Kind == kindCanceled {
 			status = StatusCanceled
 		}
+		s.journalTerminal(j, status, body)
 		j.fail(end, body, status)
 		s.noteTerminal(j, StatusRunning, status)
-		s.journalTerminal(j, status, body)
 		return
 	}
 	profiles, techErrs, rerr := renderProfiles(br, j.techniques)
 	if rerr != nil {
 		body := errorBody(rerr)
+		s.journalTerminal(j, StatusFailed, body)
 		j.fail(end, body, StatusFailed)
 		s.noteTerminal(j, StatusRunning, StatusFailed)
-		s.journalTerminal(j, StatusFailed, body)
 		return
 	}
+	s.journalDone(j, profiles, techErrs)
 	j.complete(end, profiles, techErrs)
 	s.noteTerminal(j, StatusRunning, StatusDone)
-	s.journalDone(j, profiles, techErrs)
 }
 
 // noteTransition moves one job between status buckets in the counters.

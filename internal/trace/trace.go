@@ -93,9 +93,9 @@ const (
 
 // Block geometry. The writer closes a block purely as a function of the
 // logical record sequence (record count and buffered commit-list
-// length), never of wall clock or buffer bytes, so a stitched capture
-// flushes at exactly the same records as a serial one and the streams
-// stay byte-identical.
+// length), never of wall clock or buffer bytes, so every capture of a
+// run flushes at exactly the same records and the streams stay
+// byte-identical.
 const (
 	// blockRecords is the writer's per-block record budget.
 	blockRecords = 1 << 15
