@@ -83,13 +83,13 @@ bench:
 	./scripts/bench.sh
 
 # bench-codec is the committed evidence for trace format v4: encode and
-# decode versus the retired v3 codec over the same pre-recorded event
-# sequence (no simulation in the timed loop), plus the suite-wide byte
-# totals. teadiff gates the deterministic metrics — byte totals, record
-# counts, compression ratios, and the v4 digest halves must be
-# bit-identical to the committed baseline; ns/op carries the
-# encode/decode throughput story and is informational.
-CODEC_BASELINE ?= BENCH_2026-08-08_codec.json
+# decode over a pre-recorded event sequence (no simulation in the timed
+# loop), plus the suite-wide byte totals. teadiff gates the
+# deterministic metrics — byte totals, record counts, bytes per cycle,
+# and the digest halves must be bit-identical to the committed
+# baseline; ns/op carries the encode/decode throughput story and is
+# informational.
+CODEC_BASELINE ?= BENCH_2026-10-17_codec.json
 BENCH_DATE     := $(shell date +%Y-%m-%d)
 bench-codec:
 	$(GO) test ./internal/trace -run='^$$' -bench='^BenchmarkCodec' -benchmem -benchtime=10x -timeout 30m \

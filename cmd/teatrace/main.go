@@ -11,8 +11,9 @@
 //
 // -stats accepts either a raw trace stream or a tracestore disk-tier
 // entry (the TEAC framing and stats envelope are unwrapped
-// automatically) and prints the per-record-kind byte histogram, the
-// pattern-table hit rate, and the v4-vs-v3 compression ratio.
+// automatically) and prints bytes per cycle and per record, the
+// pattern-table hit rate, the per-kind record counts and the per-column
+// bytes.
 package main
 
 import (
@@ -96,22 +97,23 @@ func doStats(path string, asJSON bool) error {
 	if asJSON {
 		out := struct {
 			*trace.CodecStats
-			PatternHitRate   float64 `json:"pattern_hit_rate"`
-			CompressionRatio float64 `json:"compression_ratio"`
-		}{st, st.PatternHitRate(), st.CompressionRatio()}
+			PatternHitRate float64 `json:"pattern_hit_rate"`
+			BytesPerCycle  float64 `json:"bytes_per_cycle"`
+			BytesPerRecord float64 `json:"bytes_per_record"`
+		}{st, st.PatternHitRate(), st.BytesPerCycle(), st.BytesPerRecord()}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
 	}
 	fmt.Printf("%s (%s): %d cycles, %d records in %d blocks\n",
 		path, kind, st.TotalCycles, st.Records, st.Blocks)
-	fmt.Printf("encoded %d bytes, logical (v3-equivalent) %d bytes -> %.2fx compression\n",
-		st.EncodedBytes, st.LogicalBytes, st.CompressionRatio())
-	fmt.Printf("pattern table: %d matched of %d records (%.1f%% hit rate), %d match + %d literal tokens\n",
-		st.MatchedRecords, st.Records-1, 100*st.PatternHitRate(), st.MatchTokens, st.LitTokens)
-	fmt.Printf("\n%-10s %12s %16s\n", "kind", "records", "logical bytes")
+	fmt.Printf("encoded %d bytes: %.4f B/cycle, %.4f B/record\n",
+		st.EncodedBytes, st.BytesPerCycle(), st.BytesPerRecord())
+	fmt.Printf("pattern table: %d matched of %d block records (%.1f%% hit rate), %d match + %d literal tokens\n",
+		st.MatchedRecords, st.LitRecords+st.MatchedRecords, 100*st.PatternHitRate(), st.MatchTokens, st.LitTokens)
+	fmt.Printf("\n%-10s %12s\n", "kind", "records")
 	for _, k := range []string{"fetch", "dispatch", "commit", "squash", "cycle"} {
-		fmt.Printf("%-10s %12d %16d\n", k, st.KindRecords[k], st.KindBytes[k])
+		fmt.Printf("%-10s %12d\n", k, st.KindRecords[k])
 	}
 	fmt.Printf("\n%-10s %12s\n", "column", "bytes")
 	fmt.Printf("%-10s %12d\n", "tokens", st.TokenBytes)
@@ -149,7 +151,7 @@ func doRecord(path, bench string, scale float64) error {
 	}
 	fmt.Printf("recorded %s: %d cycles, %d instructions -> %s (%d bytes, %.1f B/cycle, %d records)\n",
 		bench, stats.Cycles, stats.Committed, path, info.Size(),
-		float64(info.Size())/float64(stats.Cycles), tw.Records)
+		float64(info.Size())/float64(stats.Cycles), tw.Counters().Records)
 	return nil
 }
 

@@ -63,99 +63,72 @@ var captureCount atomic.Uint64
 func CaptureCount() uint64 { return captureCount.Load() }
 
 // Codec totals: every finished capture writer folds its trace.Counters
-// in here, so operators can see suite-wide logical-vs-encoded bytes —
-// the basis for sizing the disk tier — on /v1/stats without
-// re-scanning any stream.
+// in here, so operators can see suite-wide encoded bytes — the basis
+// for sizing the disk tier — on /v1/stats without re-scanning any
+// stream.
 var (
-	codecCaptures atomic.Uint64
-	codecRecords  atomic.Uint64
-	codecMatched  atomic.Uint64
-	codecLogical  atomic.Uint64
-	codecEncoded  atomic.Uint64
+	codecMu     sync.Mutex
+	codecTotals CodecTotals
 )
 
-// CodecTotals is the process-wide aggregate of trace codec work.
+// CodecTotals is the process-wide aggregate of trace codec work: the
+// capture streams written and the sum of their counters.
 type CodecTotals struct {
-	Captures       uint64 // capture streams written
-	Records        uint64 // records across those streams
-	MatchedRecords uint64 // records absorbed by the pattern table
-	LogicalBytes   uint64 // v3-equivalent record-at-a-time bytes
-	EncodedBytes   uint64 // v4 bytes actually produced
-}
-
-// CompressionRatio is suite-wide logical over encoded bytes.
-func (t CodecTotals) CompressionRatio() float64 {
-	if t.EncodedBytes == 0 {
-		return 0
-	}
-	return float64(t.LogicalBytes) / float64(t.EncodedBytes)
+	Captures uint64
+	trace.Counters
 }
 
 func addCodecCounters(c trace.Counters) {
-	codecCaptures.Add(1)
-	codecRecords.Add(c.Records)
-	codecMatched.Add(c.MatchedRecords)
-	codecLogical.Add(c.LogicalBytes)
-	codecEncoded.Add(c.EncodedBytes)
+	codecMu.Lock()
+	defer codecMu.Unlock()
+	t := &codecTotals
+	t.Captures++
+	t.Records += c.Records
+	t.Blocks += c.Blocks
+	t.LitTokens += c.LitTokens
+	t.LitRecords += c.LitRecords
+	t.MatchTokens += c.MatchTokens
+	t.MatchedRecords += c.MatchedRecords
+	t.EncodedBytes += c.EncodedBytes
 }
 
 // CodecTotalStats returns the process-wide codec totals.
 func CodecTotalStats() CodecTotals {
-	return CodecTotals{
-		Captures:       codecCaptures.Load(),
-		Records:        codecRecords.Load(),
-		MatchedRecords: codecMatched.Load(),
-		LogicalBytes:   codecLogical.Load(),
-		EncodedBytes:   codecEncoded.Load(),
-	}
+	codecMu.Lock()
+	defer codecMu.Unlock()
+	return codecTotals
 }
 
 // captureKey derives the content address of one capture: a SHA-256
 // over the trace format version, the program's complete contents, and
-// every RunConfig field. The cachekey analyzer enforces the "every
-// field" part — adding a knob to RunConfig (or any struct it reaches)
-// without folding it in here is a vet failure.
+// every core configuration field — exactly what the captured stream
+// depends on. The sampling knobs of RunConfig run at replay time and
+// Scale is already baked into the built program's iteration count, so
+// every sweep point and figure that shares a (program, core) pair
+// shares one capture. The cachekey analyzer enforces the "every field"
+// part — adding a knob to cpu.Config (or any struct it reaches) without
+// folding it in here is a vet failure.
 //
 //tealint:cachekey
-func captureKey(p *program.Program, rc RunConfig) tracestore.Key {
+func captureKey(p *program.Program, core cpu.Config) tracestore.Key {
 	h := tracestore.NewHasher()
 	h.Uint(trace.FormatVersion)
 	h.Program(p)
-	h.Uint(rc.Interval)
-	h.Uint(rc.Jitter)
-	h.Uint(rc.Seed)
-	h.Float(rc.Scale)
-	h.CPUConfig(rc.Core)
+	h.CPUConfig(core)
 	return h.Sum()
 }
 
-// captureConfig canonicalizes rc for capture keying. The captured
-// stream depends only on the program and the core configuration:
-// Interval, Jitter, and Seed drive the samplers, which run at replay
-// time, and Scale is already baked into the built program's iteration
-// count. Zeroing them here means every sweep point and every figure
-// that shares a (program, core) pair shares one capture — while
-// captureKey itself stays sensitive to every field, so callers that
-// hash a non-canonical config (none today) would still be correct,
-// just less shared.
-func captureConfig(rc RunConfig) RunConfig {
-	rc.Interval, rc.Jitter, rc.Seed = 0, 0, 0
-	rc.Scale = 0
-	return rc
-}
-
 // capturedTrace returns the encoded trace and run statistics for
-// (p, rc), simulating only if no store tier holds the capture.
+// (p, core), simulating only if no store tier holds the capture.
 // Concurrent callers of the same key share one simulation. The
 // returned trace bytes are shared with the cache and other callers —
 // they must only be replayed, never mutated (the chaos harness, which
 // does mutate, uses CaptureTrace directly). The returned Stats is a
 // fresh copy each call.
-func capturedTrace(ctx context.Context, p *program.Program, rc RunConfig) ([]byte, *cpu.Stats, error) {
-	crc := captureConfig(rc)
-	entry, err := TraceStore().GetOrPut(captureKey(p, crc), func() ([]byte, error) {
+func capturedTrace(ctx context.Context, p *program.Program, core cpu.Config) ([]byte, *cpu.Stats, error) {
+	entry, err := TraceStore().GetOrPut(captureKey(p, core), func() ([]byte, error) {
 		captureCount.Add(1)
-		data, stats, err := CaptureTrace(ctx, p, crc)
+		data, stats, err := simulate(ctx, p, core)
 		if err != nil {
 			return nil, err
 		}

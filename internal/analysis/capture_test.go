@@ -33,7 +33,7 @@ func testProgram(t *testing.T, rc RunConfig) (workloads.Workload, *program.Progr
 	return w, w.Build(rc.iters(w))
 }
 
-// TestCaptureKeyFieldSensitivity walks RunConfig with reflection and
+// TestCaptureKeyFieldSensitivity walks cpu.Config with reflection and
 // proves that flipping any leaf field — however deeply nested — flips
 // the capture key. This is the runtime complement of the cachekey
 // analyzer: the analyzer proves every field is mentioned by the digest
@@ -41,16 +41,16 @@ func testProgram(t *testing.T, rc RunConfig) (workloads.Workload, *program.Progr
 func TestCaptureKeyFieldSensitivity(t *testing.T) {
 	rc := testRC()
 	_, p := testProgram(t, rc)
-	base := captureKey(p, rc)
+	base := captureKey(p, rc.Core)
 
-	for _, path := range leafFieldPaths(reflect.TypeOf(rc), nil) {
-		mutated := rc
+	for _, path := range leafFieldPaths(reflect.TypeOf(rc.Core), nil) {
+		mutated := rc.Core
 		v := reflect.ValueOf(&mutated).Elem().FieldByIndex(path.index)
 		if !bumpValue(v) {
 			t.Fatalf("field %s: unsupported kind %s — extend bumpValue", path.name, v.Kind())
 		}
 		if captureKey(p, mutated) == base {
-			t.Errorf("mutating RunConfig.%s did not change the capture key", path.name)
+			t.Errorf("mutating cpu.Config.%s did not change the capture key", path.name)
 		}
 	}
 }
@@ -119,15 +119,18 @@ func TestCaptureKeyFormatVersionSensitivity(t *testing.T) {
 	}
 	rc := testRC()
 	_, p := testProgram(t, rc)
-	base := captureKey(p, rc)
+	base := captureKey(p, rc.Core)
 
 	h := tracestore.NewHasher()
+	h.Uint(trace.FormatVersion)
+	h.Program(p)
+	h.CPUConfig(rc.Core)
+	if h.Sum() != base {
+		t.Fatal("hand-built key differs from captureKey — update the hand-built key to mirror it")
+	}
+	h = tracestore.NewHasher()
 	h.Uint(trace.FormatVersion - 1) // the retired v3 in an otherwise identical key
 	h.Program(p)
-	h.Uint(rc.Interval)
-	h.Uint(rc.Jitter)
-	h.Uint(rc.Seed)
-	h.Float(rc.Scale)
 	h.CPUConfig(rc.Core)
 	if h.Sum() == base {
 		t.Error("capture key is not sensitive to trace.FormatVersion — a codec change would serve stale cached captures")
@@ -139,7 +142,7 @@ func TestCaptureKeyFormatVersionSensitivity(t *testing.T) {
 func TestCaptureKeyProgramSensitivity(t *testing.T) {
 	rc := testRC()
 	_, p := testProgram(t, rc)
-	base := captureKey(p, rc)
+	base := captureKey(p, rc.Core)
 
 	mutations := map[string]func(q *program.Program){
 		"name":          func(q *program.Program) { q.Name += "x" },
@@ -164,7 +167,7 @@ func TestCaptureKeyProgramSensitivity(t *testing.T) {
 				q.Data[a] = v
 			}
 			mutate(&q)
-			if captureKey(&q, rc) == base {
+			if captureKey(&q, rc.Core) == base {
 				t.Errorf("program mutation %q did not change the capture key", name)
 			}
 		})
@@ -242,7 +245,7 @@ func TestCorruptDiskEntryRecaptures(t *testing.T) {
 	defer SetTraceStore(prev)
 	RunProgram(w, p, rc)
 
-	key := captureKey(p, captureConfig(rc))
+	key := captureKey(p, rc.Core)
 	path := filepath.Join(dir, key.String()+".tea")
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -267,6 +270,47 @@ func TestCorruptDiskEntryRecaptures(t *testing.T) {
 	}
 	if st := TraceStore().Snapshot(); st.DiskRejects != 1 {
 		t.Fatalf("store stats %+v; want exactly 1 disk reject", st)
+	}
+}
+
+// TestCodecTotalsPatternHitRate pins one definition of the pattern-hit
+// rate: the process totals' change across exactly one capture (no other
+// test in this package captures concurrently) must equal the offline
+// scan of that capture's stream, counters and rate alike. The rate's
+// denominator is block records, so the one done section per stream in
+// Records must not dilute it.
+func TestCodecTotalsPatternHitRate(t *testing.T) {
+	rc := testRC()
+	_, p := testProgram(t, rc)
+	before := CodecTotalStats()
+	data, _, err := CaptureTrace(context.Background(), p, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := CodecTotalStats()
+	st, err := trace.ScanStats(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if n := after.Captures - before.Captures; n != 1 {
+		t.Fatalf("one capture moved Captures by %d", n)
+	}
+	a, b := after.Counters, before.Counters
+	delta := trace.Counters{
+		Records:        a.Records - b.Records,
+		Blocks:         a.Blocks - b.Blocks,
+		LitTokens:      a.LitTokens - b.LitTokens,
+		LitRecords:     a.LitRecords - b.LitRecords,
+		MatchTokens:    a.MatchTokens - b.MatchTokens,
+		MatchedRecords: a.MatchedRecords - b.MatchedRecords,
+		EncodedBytes:   a.EncodedBytes - b.EncodedBytes,
+	}
+	if delta != st.Counters {
+		t.Errorf("process totals moved by %+v, stream scans as %+v", delta, st.Counters)
+	}
+	if got, want := delta.PatternHitRate(), st.PatternHitRate(); got != want {
+		t.Errorf("process-total pattern hit rate %v, stream's %v", got, want)
 	}
 }
 

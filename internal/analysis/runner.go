@@ -260,7 +260,13 @@ var testExtraProbe func() (string, cpu.Probe)
 // half of the paper's capture/replay methodology. The chaos harness
 // mutates the returned bytes; ReplayCaptured consumes them.
 func CaptureTrace(ctx context.Context, p *program.Program, rc RunConfig) ([]byte, *cpu.Stats, error) {
-	c := cpu.New(rc.Core, p)
+	return simulate(ctx, p, rc.Core)
+}
+
+// simulate is CaptureTrace for the core configuration alone, the only
+// part of a RunConfig the captured stream depends on.
+func simulate(ctx context.Context, p *program.Program, core cpu.Config) ([]byte, *cpu.Stats, error) {
+	c := cpu.New(core, p)
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
 	c.Attach(tw)
@@ -372,7 +378,7 @@ func RunProgramContext(ctx context.Context, w workloads.Workload, p *program.Pro
 		}
 	}()
 	defer simerr.Recover(&err, simerr.Snapshot{Workload: w.Name, Program: p.Name})
-	data, stats, err := capturedTrace(ctx, p, rc)
+	data, stats, err := capturedTrace(ctx, p, rc.Core)
 	if err != nil {
 		return nil, err
 	}

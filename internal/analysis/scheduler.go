@@ -49,7 +49,7 @@ func scheduleCaptures(ctx context.Context, jobs []captureJob) error {
 	seen := make(map[tracestore.Key]bool, len(jobs))
 	distinct := make([]captureJob, 0, len(jobs))
 	for _, j := range jobs {
-		k := captureKey(j.p, captureConfig(j.rc))
+		k := captureKey(j.p, j.rc.Core)
 		if !seen[k] {
 			seen[k] = true
 			distinct = append(distinct, j)
@@ -67,7 +67,7 @@ func scheduleCaptures(ctx context.Context, jobs []captureJob) error {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				_, _, errs[i] = capturedTrace(ctx, distinct[i].p, distinct[i].rc)
+				_, _, errs[i] = capturedTrace(ctx, distinct[i].p, distinct[i].rc.Core)
 			}
 		}()
 	}

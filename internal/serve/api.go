@@ -134,8 +134,7 @@ type StoreStatsView struct {
 	// failed the store's payload validator.
 	DiskRejectsPayload uint64 `json:"disk_rejects_payload"`
 	// PutBytes counts cumulative encoded payload bytes inserted — what
-	// the disk tier stores on disk. Compare with the codec section's
-	// logical_bytes to size the tier.
+	// the disk tier stores on disk, the number to size the tier by.
 	PutBytes uint64 `json:"put_bytes"`
 	// MemBytes is the memory tier's current payload footprint.
 	MemBytes uint64 `json:"mem_bytes"`
@@ -148,28 +147,25 @@ type StoreStatsView struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
-// CodecStatsView is the trace-codec section of /v1/stats: suite-wide
-// logical (v3-equivalent) versus encoded (v4) trace bytes across every
-// capture this process has written, and how much of the stream the
-// pattern table absorbed. logical_bytes / encoded_bytes is the
-// compression ratio operators use to size the disk tier and estimate
-// transfer cost.
+// CodecStatsView is the trace-codec section of /v1/stats: the encoded
+// trace bytes across every capture this process has written, and how
+// much of the streams the pattern table absorbed.
 type CodecStatsView struct {
 	// Captures counts trace streams written.
 	Captures uint64 `json:"captures"`
-	// Records counts records across those streams.
+	// Records counts records across those streams, one done section per
+	// stream included.
 	Records uint64 `json:"records"`
 	// MatchedRecords counts records encoded as pattern-table matches
 	// rather than literals.
 	MatchedRecords uint64 `json:"matched_records"`
-	// LogicalBytes is the v3-equivalent record-at-a-time size of the
-	// same streams.
-	LogicalBytes uint64 `json:"logical_bytes"`
-	// EncodedBytes is the v4 bytes actually produced.
+	// EncodedBytes is the trace bytes actually produced.
 	EncodedBytes uint64 `json:"encoded_bytes"`
-	// CompressionRatio is logical_bytes/encoded_bytes (0 when idle).
-	CompressionRatio float64 `json:"compression_ratio"`
-	// PatternHitRate is matched_records/records (0 when idle).
+	// BytesPerRecord is encoded_bytes/records (0 when idle).
+	BytesPerRecord float64 `json:"bytes_per_record"`
+	// PatternHitRate is matched_records over the block records (records
+	// minus the done sections), 0 when idle — the rate `teatrace -stats`
+	// reports for a single stream.
 	PatternHitRate float64 `json:"pattern_hit_rate"`
 }
 
@@ -420,15 +416,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	view.TraceStore.Entries = snap.Entries
 	codec := analysis.CodecTotalStats()
 	view.Codec = CodecStatsView{
-		Captures:         codec.Captures,
-		Records:          codec.Records,
-		MatchedRecords:   codec.MatchedRecords,
-		LogicalBytes:     codec.LogicalBytes,
-		EncodedBytes:     codec.EncodedBytes,
-		CompressionRatio: codec.CompressionRatio(),
-	}
-	if codec.Records > 0 {
-		view.Codec.PatternHitRate = float64(codec.MatchedRecords) / float64(codec.Records)
+		Captures:       codec.Captures,
+		Records:        codec.Records,
+		MatchedRecords: codec.MatchedRecords,
+		EncodedBytes:   codec.EncodedBytes,
+		BytesPerRecord: codec.BytesPerRecord(),
+		PatternHitRate: codec.PatternHitRate(),
 	}
 	view.Durability.Mode = s.Mode()
 	s.mu.Lock()

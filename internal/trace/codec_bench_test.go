@@ -1,11 +1,10 @@
 package trace_test
 
-// Codec benchmarks: the committed before/after evidence for trace
-// format v4 (`make bench-codec` -> BENCH_<date>_codec.json, gated by
-// `teadiff -mode bench` against the committed baseline). Encode and
-// decode run over a pre-recorded logical event sequence, so the
-// numbers measure the codecs alone — no simulation in the timed loop.
-// The v3 columns come from the legacy codec copy in v3codec_test.go.
+// Codec benchmarks: the committed evidence for trace format v4 (`make
+// bench-codec` -> BENCH_<date>_codec.json, gated by `teadiff -mode
+// bench` against the committed baseline). Encode and decode run over a
+// pre-recorded logical event sequence, so the numbers measure the
+// codec alone — no simulation in the timed loop.
 //
 // ns/op is the wall-clock story (machine-dependent, reported but never
 // gated); the byte totals, record counts, and digest halves are
@@ -114,24 +113,8 @@ func BenchmarkCodecEncodeV4(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	ctr := tw.Counters()
 	b.ReportMetric(float64(buf.Len()), "encoded_bytes")
-	b.ReportMetric(float64(tw.Records), "records")
-	b.ReportMetric(float64(ctr.LogicalBytes)/float64(ctr.EncodedBytes), "compression_x")
-}
-
-// BenchmarkCodecEncodeV3 encodes the same sequence with the legacy
-// record-at-a-time writer.
-func BenchmarkCodecEncodeV3(b *testing.B) {
-	l := benchLog(b)
-	var tw *v3Writer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tw = newV3Writer()
-		l.play(tw)
-	}
-	b.ReportMetric(float64(len(tw.Bytes())), "encoded_bytes")
-	b.ReportMetric(float64(tw.records), "records")
+	b.ReportMetric(float64(tw.Counters().Records), "records")
 }
 
 // BenchmarkCodecDecodeV4 replays a v4 stream of the recorded sequence
@@ -157,38 +140,17 @@ func BenchmarkCodecDecodeV4(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(cycles), "cycles")
-	b.ReportMetric(float64(tw.Records)/1e6, "mrecords")
+	b.ReportMetric(float64(tw.Counters().Records)/1e6, "mrecords")
 }
 
-// BenchmarkCodecDecodeV3 replays the legacy encoding of the same
-// sequence — the decode-throughput floor v4 must not sink below.
-func BenchmarkCodecDecodeV3(b *testing.B) {
-	l := benchLog(b)
-	tw := newV3Writer()
-	l.play(tw)
-	data := tw.Bytes()
-	var cycles uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		cycles, err = v3ReplayBytes(data, nopProbe{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(cycles), "cycles")
-	b.ReportMetric(float64(tw.records)/1e6, "mrecords")
-}
-
-// BenchmarkCodecSuiteCompression captures every suite workload with
-// both writers attached to one simulation and reports the suite byte
-// totals — the ISSUE 10 acceptance evidence (>=5x). The FNV halves of
-// the v4 bytes pin the exact encoding: equal halves on two runs (or
-// against the committed baseline) mean byte-identical suite traces.
+// BenchmarkCodecSuiteCompression captures every suite workload and
+// reports the suite byte totals. The FNV halves of the bytes pin the
+// exact encoding: equal halves on two runs (or against the committed
+// baseline) mean byte-identical suite traces.
 func BenchmarkCodecSuiteCompression(b *testing.B) {
-	var v3Bytes, v4Bytes, cycles, digest uint64
+	var v4Bytes, cycles, digest uint64
 	for i := 0; i < b.N; i++ {
-		v3Bytes, v4Bytes, cycles = 0, 0, 0
+		v4Bytes, cycles = 0, 0
 		digest = 14695981039346656037 // FNV-1a offset basis
 		for _, w := range workloads.All() {
 			iters := w.DefaultIters / 4
@@ -198,14 +160,11 @@ func BenchmarkCodecSuiteCompression(b *testing.B) {
 			c := cpu.New(cpu.DefaultConfig(), w.Build(iters))
 			var buf bytes.Buffer
 			v4 := trace.NewWriter(&buf)
-			v3 := newV3Writer()
 			c.Attach(v4)
-			c.Attach(v3)
 			st := c.Run()
 			if err := v4.Err(); err != nil {
 				b.Fatal(err)
 			}
-			v3Bytes += uint64(len(v3.Bytes()))
 			v4Bytes += uint64(buf.Len())
 			cycles += st.Cycles
 			for _, by := range buf.Bytes() {
@@ -213,9 +172,7 @@ func BenchmarkCodecSuiteCompression(b *testing.B) {
 			}
 		}
 	}
-	b.ReportMetric(float64(v3Bytes), "suite_v3_bytes")
 	b.ReportMetric(float64(v4Bytes), "suite_v4_bytes")
-	b.ReportMetric(float64(v3Bytes)/float64(v4Bytes), "compression_x")
 	b.ReportMetric(float64(v4Bytes)/float64(cycles), "trace_bytes/cycle")
 	// Two exact-in-float64 halves of the 64-bit digest.
 	b.ReportMetric(float64(digest>>32), "trace_fnv_hi")

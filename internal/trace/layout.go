@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 
 	"repro/internal/cpu"
-	"repro/internal/events"
 	"repro/internal/simerr"
 )
 
@@ -137,54 +136,28 @@ func RecordOffsets(data []byte) ([]int, error) {
 	return offsets, nil
 }
 
-// CodecStats describes one v4 stream for operators: how large the
-// stream is on disk versus the v3-equivalent record-at-a-time
-// ("logical") encoding of the same records, where the bytes live
-// (token stream vs each column), how much of the stream the pattern
-// table absorbed, and the per-record-kind breakdown of the logical
-// bytes. Produced by ScanStats and surfaced by `teatrace -stats`.
+// CodecStats describes one v4 stream for operators: the writer's
+// Counters re-derived from the bytes alone, where the bytes live (token
+// stream vs each column), and how many records of each kind the stream
+// carries. Produced by ScanStats and surfaced by `teatrace -stats`.
 type CodecStats struct {
-	Records     uint64 `json:"records"` // includes the done section, mirroring Writer.Records
-	Blocks      uint64 `json:"blocks"`
+	Counters
 	TotalCycles uint64 `json:"total_cycles"`
 
-	LitTokens      uint64 `json:"lit_tokens"`
-	MatchTokens    uint64 `json:"match_tokens"`
-	MatchedRecords uint64 `json:"matched_records"`
+	TokenBytes uint64            `json:"token_bytes"`
+	Columns    map[string]uint64 `json:"column_bytes"` // keyed by ColumnNames
 
-	EncodedBytes uint64            `json:"encoded_bytes"`
-	LogicalBytes uint64            `json:"logical_bytes"`
-	TokenBytes   uint64            `json:"token_bytes"`
-	ColumnBytes  [nCols]uint64     `json:"-"`
-	Columns      map[string]uint64 `json:"column_bytes"`
-
-	// Per-kind record counts and v3-equivalent encoded bytes, the
-	// per-record-kind byte histogram (fetch, dispatch, commit, squash,
-	// cycle).
+	// KindRecords counts records per kind (fetch, dispatch, commit,
+	// squash, cycle); the done section has no kind.
 	KindRecords map[string]uint64 `json:"kind_records"`
-	KindBytes   map[string]uint64 `json:"kind_logical_bytes"`
 }
 
-// PatternHitRate is the fraction of block records covered by match
-// tokens rather than literals.
-func (s CodecStats) PatternHitRate() float64 {
-	rec := s.Records
-	if rec > 0 {
-		rec-- // the done section is not a block record
-	}
-	if rec == 0 {
+// BytesPerCycle is the encoded size over simulated cycles.
+func (s CodecStats) BytesPerCycle() float64 {
+	if s.TotalCycles == 0 {
 		return 0
 	}
-	return float64(s.MatchedRecords) / float64(rec)
-}
-
-// CompressionRatio is logical (v3-equivalent) bytes over encoded (v4)
-// bytes — "how much smaller than format v3 this stream is".
-func (s CodecStats) CompressionRatio() float64 {
-	if s.EncodedBytes == 0 {
-		return 0
-	}
-	return float64(s.LogicalBytes) / float64(s.EncodedBytes)
+	return float64(s.EncodedBytes) / float64(s.TotalCycles)
 }
 
 // kindNames labels record kinds 1..5 for the stats histogram.
@@ -196,85 +169,28 @@ var kindNames = [...]string{
 	recCycle:    "cycle",
 }
 
-// statsProbe re-derives the v3-equivalent encoding cost of each
-// replayed record: it tracks the same stream-continuous delta state as
-// the writer and sums uvarint sizes per record kind.
-type statsProbe struct {
+// kindProbe counts replayed records per kind.
+type kindProbe struct {
 	cpu.BaseProbe
-	lastCycle, lastSeq, lastPC uint64
-	kindRecords                [recCycle + 1]uint64
-	kindBytes                  [recCycle + 1]uint64
-	totalCycles                uint64
+	n [recCycle + 1]uint64
 }
 
-func (s *statsProbe) deltas(seq, cycle uint64) (ds, dc uint64) {
-	ds = zigzag(int64(seq) - int64(s.lastSeq))
-	dc = cycle - s.lastCycle
-	s.lastSeq, s.lastCycle = seq, cycle
-	return ds, dc
-}
-
-func (s *statsProbe) OnFetch(r cpu.Ref, cycle uint64) {
-	ds, dc := s.deltas(r.Seq, cycle)
-	dp := zigzag(int64(r.PC) - int64(s.lastPC))
-	s.lastPC = r.PC
-	s.kindRecords[recFetch]++
-	s.kindBytes[recFetch] += 1 + uvlen(ds) + uvlen(dp) + uvlen(dc)
-}
-
-func (s *statsProbe) OnDispatch(r cpu.Ref, cycle uint64) {
-	ds, dc := s.deltas(r.Seq, cycle)
-	s.kindRecords[recDispatch]++
-	s.kindBytes[recDispatch] += 1 + uvlen(ds) + uvlen(dc)
-}
-
-func (s *statsProbe) OnCommit(r cpu.Ref, cycle uint64) {
-	ds, dc := s.deltas(r.Seq, cycle)
-	s.kindRecords[recCommit]++
-	s.kindBytes[recCommit] += 1 + uvlen(ds) + uvlen(uint64(r.PSV)) + uvlen(dc)
-}
-
-func (s *statsProbe) OnSquash(r cpu.Ref, cycle uint64) {
-	ds, dc := s.deltas(r.Seq, cycle)
-	s.kindRecords[recSquash]++
-	s.kindBytes[recSquash] += 1 + uvlen(ds) + uvlen(dc)
-}
-
-func (s *statsProbe) OnCycle(ci *cpu.CycleInfo) {
-	dc := ci.Cycle - s.lastCycle
-	s.lastCycle = ci.Cycle
-	b := uint64(2) + uvlen(dc) // kind byte + state byte + cycle delta
-	switch ci.State {
-	case events.Compute:
-		b += uvlen(uint64(len(ci.Committed)))
-		for _, r := range ci.Committed {
-			ds := zigzag(int64(r.Seq) - int64(s.lastSeq))
-			s.lastSeq = r.Seq
-			b += uvlen(ds)
-		}
-	case events.Stalled:
-		ds := zigzag(int64(ci.Head.Seq) - int64(s.lastSeq))
-		s.lastSeq = ci.Head.Seq
-		b += uvlen(ds)
-	case events.Flushed:
-		ds := zigzag(int64(ci.LastCommitted.Seq) - int64(s.lastSeq))
-		s.lastSeq = ci.LastCommitted.Seq
-		b += uvlen(ds)
-	}
-	s.kindRecords[recCycle]++
-	s.kindBytes[recCycle] += b
-}
-
-func (s *statsProbe) OnDone(totalCycles uint64) { s.totalCycles = totalCycles }
+func (k *kindProbe) OnFetch(cpu.Ref, uint64)    { k.n[recFetch]++ }
+func (k *kindProbe) OnDispatch(cpu.Ref, uint64) { k.n[recDispatch]++ }
+func (k *kindProbe) OnCommit(cpu.Ref, uint64)   { k.n[recCommit]++ }
+func (k *kindProbe) OnSquash(cpu.Ref, uint64)   { k.n[recSquash]++ }
+func (k *kindProbe) OnCycle(*cpu.CycleInfo)     { k.n[recCycle]++ }
 
 // ScanStats replays a complete in-memory v4 stream (validating it end
-// to end, digest included) and returns its codec statistics. A stream
-// that fails replay fails ScanStats with the same typed error.
+// to end, digest included) and returns its codec statistics; its
+// Counters equal the writer's for the same stream. A stream that fails
+// replay fails ScanStats with the same typed error.
 //
 //tealint:ctxroot stats pass over an in-memory buffer, bounded by the buffer's length; nothing upstream to cancel it
 func ScanStats(data []byte) (*CodecStats, error) {
-	sp := &statsProbe{}
-	if _, err := ReplayBytes(context.Background(), data, sp); err != nil {
+	kp := &kindProbe{}
+	cycles, err := ReplayBytes(context.Background(), data, kp)
+	if err != nil {
 		return nil, err
 	}
 	lay, err := ParseLayout(data)
@@ -282,65 +198,53 @@ func ScanStats(data []byte) (*CodecStats, error) {
 		return nil, err
 	}
 	st := &CodecStats{
-		Blocks:       uint64(len(lay.Blocks)),
-		TotalCycles:  sp.totalCycles,
-		EncodedBytes: uint64(len(data)),
-		Columns:      make(map[string]uint64, nCols),
-		KindRecords:  make(map[string]uint64, recCycle),
-		KindBytes:    make(map[string]uint64, recCycle),
+		Counters: Counters{
+			Records:      1, // the done section, as Writer counts it
+			Blocks:       uint64(len(lay.Blocks)),
+			EncodedBytes: uint64(len(data)),
+		},
+		TotalCycles: cycles,
+		Columns:     make(map[string]uint64, nCols),
+		KindRecords: make(map[string]uint64, recCycle),
 	}
-	// Logical = header + every record's v3 size + the done record.
-	st.LogicalBytes = 5
 	for k := recFetch; k <= recCycle; k++ {
-		st.Records += sp.kindRecords[k]
-		st.LogicalBytes += sp.kindBytes[k]
-		st.KindRecords[kindNames[k]] = sp.kindRecords[k]
-		st.KindBytes[kindNames[k]] = sp.kindBytes[k]
+		st.Records += kp.n[k]
+		st.KindRecords[kindNames[k]] = kp.n[k]
 	}
 	for _, b := range lay.Blocks {
 		st.TokenBytes += uint64(b.TokenSpan.End - b.TokenSpan.Start)
-		for c := 0; c < nCols; c++ {
-			st.ColumnBytes[c] += uint64(b.Columns[c].End - b.Columns[c].Start)
+		for c, col := range b.Columns {
+			st.Columns[ColumnNames[c]] += uint64(col.End - col.Start)
 		}
-		lit, match, matched, err := countTokens(data[b.TokenSpan.Start:b.TokenSpan.End], b.Tokens)
-		if err != nil {
+		if err := st.countTokens(data[b.TokenSpan.Start:b.TokenSpan.End], b.Tokens); err != nil {
 			return nil, err
 		}
-		st.LitTokens += lit
-		st.MatchTokens += match
-		st.MatchedRecords += matched
 	}
-	for c := 0; c < nCols; c++ {
-		st.Columns[ColumnNames[c]] = st.ColumnBytes[c]
-	}
-	doneLen := uint64(lay.DoneEnd - lay.DoneStart)
-	st.Records++ // the done section, mirroring Writer.Records
-	st.LogicalBytes += doneLen
 	return st, nil
 }
 
-// countTokens tallies a block's token stream. The stream already
+// countTokens folds a block's token stream into c. The stream already
 // passed full replay validation; the guards here only keep the tally
 // loop bounded.
-func countTokens(tokens []byte, nTok int) (lit, match, matched uint64, err error) {
+func (c *Counters) countTokens(tokens []byte, nTok int) error {
 	tp := 0
 	for k := 0; k < nTok; k++ {
 		v, sz := binary.Uvarint(tokens[tp:])
 		if sz <= 0 {
-			return 0, 0, 0, simerr.New(simerr.ErrDecode, simerr.Snapshot{}, "trace: truncated token")
+			return simerr.New(simerr.ErrDecode, simerr.Snapshot{}, "trace: truncated token")
 		}
 		tp += sz
-		if v&1 == 1 {
-			match++
-			matched += v >> 1
-			if _, sz := binary.Uvarint(tokens[tp:]); sz > 0 {
-				tp += sz
-			} else {
-				return 0, 0, 0, simerr.New(simerr.ErrDecode, simerr.Snapshot{}, "trace: truncated match distance")
-			}
-		} else {
-			lit++
+		if v&1 == 0 {
+			c.LitTokens++
+			c.LitRecords += v >> 1
+			continue
 		}
+		c.MatchTokens++
+		c.MatchedRecords += v >> 1
+		if _, sz = binary.Uvarint(tokens[tp:]); sz <= 0 {
+			return simerr.New(simerr.ErrDecode, simerr.Snapshot{}, "trace: truncated match distance")
+		}
+		tp += sz
 	}
-	return lit, match, matched, nil
+	return nil
 }

@@ -30,7 +30,6 @@ package trace
 
 import (
 	"io"
-	"math/bits"
 
 	"encoding/binary"
 
@@ -143,21 +142,37 @@ var ColumnNames = [nCols]string{"kinds", "cycles", "seqs", "pcs", "psvs", "state
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// uvlen is the encoded size of v as a uvarint — used to account the
-// v3-equivalent "logical" stream size without materializing it.
-func uvlen(v uint64) uint64 { return uint64(bits.Len64(v|1)+6) / 7 }
-
-// Counters reports what the writer did, for compression stats: the
-// logical (v3-equivalent record-at-a-time) size versus the encoded v4
-// size, and how much of the stream the pattern table absorbed.
+// Counters are the codec's counts for one stream (Writer.Counters,
+// ScanStats) or a sum over many (analysis.CodecTotalStats): how large
+// the encoding is and how much of it the pattern table absorbed.
 type Counters struct {
-	Records        uint64 // records serialized (including the done section)
-	Blocks         uint64 // columnar blocks emitted
-	LitTokens      uint64 // literal-run tokens
-	MatchTokens    uint64 // match tokens
-	MatchedRecords uint64 // records covered by match tokens
-	LogicalBytes   uint64 // exact v3 encoding size of the same record sequence
-	EncodedBytes   uint64 // bytes actually written (v4)
+	Records        uint64 `json:"records"`         // records serialized, one done section per stream included
+	Blocks         uint64 `json:"blocks"`          // columnar blocks emitted
+	LitTokens      uint64 `json:"lit_tokens"`      // literal-run tokens
+	LitRecords     uint64 `json:"lit_records"`     // records covered by literal-run tokens
+	MatchTokens    uint64 `json:"match_tokens"`    // match tokens
+	MatchedRecords uint64 `json:"matched_records"` // records covered by match tokens
+	EncodedBytes   uint64 `json:"encoded_bytes"`   // bytes written
+}
+
+// PatternHitRate is the fraction of block records covered by match
+// tokens rather than literals (0 for an empty stream). Every block
+// record is covered by exactly one token, so the denominator excludes
+// the done sections, and the rate of a sum of streams is the rate of
+// their concatenated blocks.
+func (c Counters) PatternHitRate() float64 {
+	if n := c.LitRecords + c.MatchedRecords; n > 0 {
+		return float64(c.MatchedRecords) / float64(n)
+	}
+	return 0
+}
+
+// BytesPerRecord is the encoded size over records.
+func (c Counters) BytesPerRecord() float64 {
+	if c.Records == 0 {
+		return 0
+	}
+	return float64(c.EncodedBytes) / float64(c.Records)
 }
 
 // Writer is a cpu.Probe that serializes the probe event stream as
@@ -211,9 +226,6 @@ type Writer struct {
 	// values; the done section carries it for the reader to verify.
 	digest uint64
 
-	// Records counts serialized records (for statistics).
-	Records uint64
-
 	c Counters
 }
 
@@ -227,12 +239,8 @@ func NewWriter(w io.Writer) *Writer {
 func (t *Writer) Err() error { return t.err }
 
 // Counters returns the writer's codec statistics. Complete only after
-// OnDone has fired (LogicalBytes/EncodedBytes include the done section).
-func (t *Writer) Counters() Counters {
-	c := t.c
-	c.Records = t.Records
-	return c
-}
+// OnDone has fired (Records/EncodedBytes include the done section).
+func (t *Writer) Counters() Counters { return t.c }
 
 func (t *Writer) header() {
 	if t.started {
@@ -241,7 +249,6 @@ func (t *Writer) header() {
 	t.started = true
 	t.buf = append(t.buf, magic[:]...)
 	t.buf = append(t.buf, FormatVersion)
-	t.c.LogicalBytes += 5
 }
 
 func (t *Writer) flush() {
@@ -256,7 +263,7 @@ func (t *Writer) flush() {
 // the record or commit-list budget fills. Both thresholds are pure
 // functions of the logical record sequence (see blockRecords).
 func (t *Writer) endRecord() {
-	t.Records++
+	t.c.Records++
 	if len(t.kinds) >= blockRecords || len(t.lists) >= blockListFlush {
 		t.flushBlock()
 	}
@@ -289,7 +296,6 @@ func (t *Writer) OnFetch(r cpu.Ref, cycle uint64) {
 	t.lastSeq, t.lastPC, t.lastCycle = r.Seq, r.PC, cycle
 	t.push(recFetch, dc, ds, dp)
 	t.digest = mix(mix(mix(mix(t.digest, recFetch), r.Seq), r.PC), cycle)
-	t.c.LogicalBytes += 1 + uvlen(ds) + uvlen(dp) + uvlen(dc)
 	t.endRecord()
 }
 
@@ -301,7 +307,6 @@ func (t *Writer) OnDispatch(r cpu.Ref, cycle uint64) {
 	t.lastSeq, t.lastCycle = r.Seq, cycle
 	t.push(recDispatch, dc, ds, 0)
 	t.digest = mix(mix(mix(t.digest, recDispatch), r.Seq), cycle)
-	t.c.LogicalBytes += 1 + uvlen(ds) + uvlen(dc)
 	t.endRecord()
 }
 
@@ -313,7 +318,6 @@ func (t *Writer) OnCommit(r cpu.Ref, cycle uint64) {
 	t.lastSeq, t.lastCycle = r.Seq, cycle
 	t.push(recCommit, dc, ds, uint64(r.PSV))
 	t.digest = mix(mix(mix(mix(t.digest, recCommit), r.Seq), uint64(r.PSV)), cycle)
-	t.c.LogicalBytes += 1 + uvlen(ds) + uvlen(uint64(r.PSV)) + uvlen(dc)
 	t.endRecord()
 }
 
@@ -325,7 +329,6 @@ func (t *Writer) OnSquash(r cpu.Ref, cycle uint64) {
 	t.lastSeq, t.lastCycle = r.Seq, cycle
 	t.push(recSquash, dc, ds, 0)
 	t.digest = mix(mix(mix(t.digest, recSquash), r.Seq), cycle)
-	t.c.LogicalBytes += 1 + uvlen(ds) + uvlen(dc)
 	t.endRecord()
 }
 
@@ -338,37 +341,31 @@ func (t *Writer) OnCycle(ci *cpu.CycleInfo) {
 	dc := ci.Cycle - t.lastCycle
 	t.lastCycle = ci.Cycle
 	h := mix(mix(mix(t.digest, recCycle), ci.Cycle), uint64(ci.State))
-	lb := uint64(2) + uvlen(dc) // kind byte + state byte + cycle delta
 	switch ci.State {
 	case events.Compute:
 		n := uint64(len(ci.Committed))
 		t.push(recCycle, dc, uint64(ci.State), n)
 		h = mix(h, n)
-		lb += uvlen(n)
 		for _, r := range ci.Committed {
 			ds := zigzag(int64(r.Seq) - int64(t.lastSeq))
 			t.lastSeq = r.Seq
 			t.pushList(ds)
 			h = mix(h, r.Seq)
-			lb += uvlen(ds)
 		}
 	case events.Stalled:
 		ds := zigzag(int64(ci.Head.Seq) - int64(t.lastSeq))
 		t.lastSeq = ci.Head.Seq
 		t.push(recCycle, dc, uint64(ci.State), ds)
 		h = mix(h, ci.Head.Seq)
-		lb += uvlen(ds)
 	case events.Flushed:
 		ds := zigzag(int64(ci.LastCommitted.Seq) - int64(t.lastSeq))
 		t.lastSeq = ci.LastCommitted.Seq
 		t.push(recCycle, dc, uint64(ci.State), ds)
 		h = mix(h, ci.LastCommitted.Seq)
-		lb += uvlen(ds)
 	default: // events.Drained: no operand; the next commit resolves the attribution.
 		t.push(recCycle, dc, uint64(ci.State), 0)
 	}
 	t.digest = h
-	t.c.LogicalBytes += lb
 	t.endRecord()
 }
 
@@ -382,8 +379,7 @@ func (t *Writer) OnDone(totalCycles uint64) {
 	t.buf = binary.AppendUvarint(t.buf, totalCycles)
 	t.digest = mix(mix(t.digest, recDone), totalCycles)
 	t.buf = binary.AppendUvarint(t.buf, t.digest)
-	t.Records++
-	t.c.LogicalBytes += 1 + uvlen(totalCycles) + uvlen(t.digest)
+	t.c.Records++
 	t.flush()
 }
 
@@ -460,6 +456,7 @@ func (t *Writer) flushBlock() {
 			t.tokBuf = binary.AppendUvarint(t.tokBuf, uint64(e-s)<<1)
 			nTokens++
 			t.c.LitTokens++
+			t.c.LitRecords += uint64(e - s)
 			t.serializeLits(s, e)
 		}
 	}

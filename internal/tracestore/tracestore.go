@@ -69,9 +69,8 @@ type Stats struct {
 	// a decodable trace.
 	DiskRejectsPayload uint64
 	// PutBytes counts cumulative payload bytes inserted via Put (the
-	// encoded, post-codec size — what the disk tier actually stores).
-	// With the codec's logical-byte totals (internal/analysis) it gives
-	// operators the suite-wide compression ratio for tier sizing.
+	// encoded, post-codec size — what the disk tier actually stores),
+	// the number operators size the tier by.
 	PutBytes uint64
 	// MemBytes is the memory tier's current payload footprint (a gauge,
 	// filled at Snapshot time).

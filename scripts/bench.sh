@@ -21,9 +21,9 @@ go test -bench=. -benchmem -benchtime="$benchtime" -timeout 60m . | tee "$raw"
 go run ./cmd/teabench -label "$label" -date "$date" -o "$out" < "$raw"
 echo "wrote $out"
 
-# Codec benchmarks (internal/trace): v4 vs v3 encode/decode and the
-# suite compression totals, written as a separate _codec file so `make
-# bench-codec` and the check.sh codec gate share one baseline format.
+# Codec benchmarks (internal/trace): encode/decode and the suite byte
+# totals, written as a separate _codec file so `make bench-codec` and
+# the check.sh codec gate share one baseline format.
 codec_out="BENCH_${date}_codec${label:+-$label}.json"
 go test ./internal/trace -run='^$' -bench='^BenchmarkCodec' -benchmem \
 	-benchtime="$benchtime" -timeout 30m | tee "$raw"

@@ -66,10 +66,10 @@ go test -bench=. -benchtime=1x -timeout 30m . >"$bench_out"
 go run ./cmd/teabench -label gate <"$bench_out" >"$bench_json"
 go run ./cmd/teadiff -mode bench -baseline BENCH_2026-08-08_v4codec.json -current "$bench_json"
 
-# Codec gate: the v4-vs-v3 codec benchmarks' deterministic metrics
-# (byte totals, record counts, compression ratios, v4 digest halves)
-# must be bit-identical to the committed baseline — any drift means the
-# wire format changed without a FormatVersion bump and a new baseline.
+# Codec gate: the codec benchmarks' deterministic metrics (byte
+# totals, record counts, bytes per cycle, digest halves) must be
+# bit-identical to the committed baseline — any drift means the wire
+# format changed without a FormatVersion bump and a new baseline.
 go test ./internal/trace -run='^$' -bench='^BenchmarkCodec' -benchtime=1x -timeout 30m >"$bench_out"
 go run ./cmd/teabench -label codec-gate <"$bench_out" >"$bench_json"
-go run ./cmd/teadiff -mode bench -baseline BENCH_2026-08-08_codec.json -current "$bench_json"
+go run ./cmd/teadiff -mode bench -baseline BENCH_2026-10-17_codec.json -current "$bench_json"

@@ -5,8 +5,11 @@
 // same journal directory must (a) serve the completed job's profile
 // byte-identical to the pre-crash response, and (b) finish every
 // interrupted job with profiles byte-identical to the same spec's
-// pre-crash run. Recovery must also be visible in /v1/stats and the
-// restarted server must report durable mode and shut down cleanly.
+// pre-crash run. Recovery must also be visible in /v1/stats: every job
+// the smoke saw done before the kill comes back restored, never re-run
+// (restored_done counts at least those), and no more jobs are requeued
+// than were in flight. The restarted server must report durable mode and
+// shut down cleanly.
 //
 //	go build -o bin/teaserve ./cmd/teaserve
 //	go run ./scripts/crashsmoke -bin bin/teaserve
@@ -120,6 +123,21 @@ func run(bin string) error {
 		}
 		inflight = append(inflight, id)
 	}
+	// A client that has seen a job done may rely on it: count every job
+	// observed done before the kill — the first one, plus any of the
+	// batch this last poll catches finished.
+	observedDone := 1
+	for _, id := range inflight {
+		var view struct {
+			Status string `json:"status"`
+		}
+		if err := getInto(client, s1.url+"/v1/jobs/"+id, &view); err != nil {
+			return err
+		}
+		if view.Status == "done" {
+			observedDone++
+		}
+	}
 	if err := s1.cmd.Process.Kill(); err != nil {
 		return fmt.Errorf("SIGKILL: %w", err)
 	}
@@ -159,8 +177,9 @@ func run(bin string) error {
 		}
 	}
 
-	// Recovery must be observable: durable mode, and the replay counters
-	// account for the restored and requeued jobs.
+	// Recovery must be observable: durable mode, every job observed done
+	// restored rather than requeued, and no more requeues than jobs in
+	// flight.
 	var stats struct {
 		Durability struct {
 			Mode     string `json:"mode"`
@@ -178,9 +197,11 @@ func run(bin string) error {
 	if d.Mode != "durable" {
 		return fmt.Errorf("restarted server mode %q, want durable", d.Mode)
 	}
-	if d.Recovery.Replayed == 0 || d.Recovery.RestoredDone+d.Recovery.Requeued == 0 {
-		return fmt.Errorf("recovery counters empty after a crash restart: %+v", d.Recovery)
+	if r := d.Recovery; r.Replayed == 0 || r.RestoredDone < observedDone || r.Requeued > interrupted {
+		return fmt.Errorf("recovery %+v: want replayed > 0, restored_done >= %d (jobs observed done before the kill), requeued <= %d (jobs in flight)",
+			r, observedDone, interrupted)
 	}
+	fmt.Printf("crashsmoke: %d jobs observed done before the kill; recovery %+v\n", observedDone, d.Recovery)
 
 	// Clean shutdown of the recovered server.
 	if err := s2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
