@@ -1,8 +1,13 @@
 package analysis
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/cpu"
@@ -79,6 +84,82 @@ func TestPanickingProbeContained(t *testing.T) {
 		if pair[0].Total() != pair[1].Total() {
 			t.Fatalf("technique %d total %v differs from clean run %v",
 				i, pair[0].Total(), pair[1].Total())
+		}
+	}
+}
+
+// TestPanickingProbeSharesOneGroup drives the fault path with every
+// probe in one replay group: at GOMAXPROCS 1 the panicking probe sits
+// beside all nine techniques, so the group's single recover voids the
+// whole pass and each technique replays again alone. Every healthy
+// technique must still give a clean run's exact bytes, in a full
+// replay and in a selective one.
+func TestPanickingProbeSharesOneGroup(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	ctx := context.Background()
+	w := robustWorkload(t)
+	rc := testConfig()
+	rc.Scale = 0.05
+	p := w.Build(rc.iters(w))
+	data, _, err := CaptureTrace(ctx, p, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := ReplayCaptured(ctx, w, p, rc, data)
+	if err != nil {
+		t.Fatalf("clean replay failed: %v", err)
+	}
+
+	testExtraProbe = func() (string, cpu.Probe) { return "chaos-probe", &panicProbe{} }
+	t.Cleanup(func() { testExtraProbe = nil })
+	for _, names := range [][]string{nil, {"golden", "ris", "counters", "stalls"}} {
+		var br *BenchRun
+		label := "all"
+		if names == nil {
+			br, err = ReplayCaptured(ctx, w, p, rc, data)
+		} else {
+			label = fmt.Sprint(names)
+			br, err = ReplayTechniques(ctx, w, p, rc, data, names)
+		}
+		if err != nil {
+			t.Fatalf("%s: replay with panicking probe must not fail outright: %v", label, err)
+		}
+		if _, ok := br.Errors["chaos-probe"]; !ok || len(br.Errors) != 1 {
+			t.Fatalf("%s: want only chaos-probe in Errors, got %v", label, br.Errors)
+		}
+		for _, tq := range techniqueTable {
+			asked := names == nil || slices.Contains(names, tq.name)
+			got, want := br.Profile(tq.name), clean.Profile(tq.name)
+			if want == nil {
+				continue
+			}
+			if !asked {
+				if got != nil {
+					t.Errorf("%s: %s replayed without being asked for", label, tq.name)
+				}
+				continue
+			}
+			if got == nil {
+				t.Fatalf("%s: %s profile nil despite being healthy", label, tq.name)
+			}
+			var gb, wb bytes.Buffer
+			if err := got.WriteJSON(&gb); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.WriteJSON(&wb); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+				t.Errorf("%s: %s profile differs from the clean run", label, tq.name)
+			}
+		}
+		if names == nil && (!reflect.DeepEqual(br.Counters, clean.Counters) ||
+			!reflect.DeepEqual(br.Events, clean.Events) || !reflect.DeepEqual(br.Stalls, clean.Stalls)) {
+			t.Errorf("statistics probes differ from the clean run")
+		}
+		if names != nil && (br.Counters == nil || br.Events != nil || br.Stalls == nil) {
+			t.Errorf("%s: statistics probes do not match the request", label)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -92,21 +93,32 @@ type BenchRun struct {
 	Stalls   *profilers.StallProbe
 
 	// Errors records techniques whose probe failed during replay,
-	// keyed by technique name. A failed technique's profile is nil;
+	// keyed by technique name. A failed technique's result is nil;
 	// the remaining techniques are complete and trustworthy. The
-	// fault-free path always leaves the map empty.
+	// fault-free path always leaves the map empty, and a technique the
+	// run did not replay is never in it.
 	Errors map[string]error
-
-	// finish materializes the technique profiles once attribution is
-	// complete (dense accumulators flush lazily), skipping any
-	// technique recorded in Errors.
-	finish func()
 }
 
-// techniqueNames labels suiteProbes' probes, in construction order.
-// The names key BenchRun.Errors and the chaos harness's reports.
-var techniqueNames = []string{
-	"golden", "tea", "nci-tea", "ibs", "spe", "ris", "counters", "events", "stalls",
+// Profile returns the named technique's profile ("golden", "tea",
+// "nci-tea", "ibs", "spe" or "ris"): nil when the run did not replay
+// the technique, when it failed, or when the name has no profile.
+func (br *BenchRun) Profile(name string) *pics.Profile {
+	switch name {
+	case "golden":
+		return br.Golden
+	case "tea":
+		return br.TEA
+	case "nci-tea":
+		return br.NCITEA
+	case "ibs":
+		return br.IBS
+	case "spe":
+		return br.SPE
+	case "ris":
+		return br.RIS
+	}
+	return nil
 }
 
 // Techniques returns the sampled techniques' profiles in evaluation
@@ -120,139 +132,79 @@ func RunBenchmark(w workloads.Workload, rc RunConfig) *BenchRun {
 	return RunProgram(w, w.Build(rc.iters(w)), rc)
 }
 
-// suiteProbes builds the nine evaluation probes for one run. A non-nil
-// core wires the probes for live attachment; with a nil core the TEA
-// units accumulate against prog (the replay path).
-func suiteProbes(c *cpu.CPU, p *program.Program, rc RunConfig) (probes []cpu.Probe, br *BenchRun) {
-	goldenCfg := core.Config{Set: events.TEASet, EveryCycle: true, Prog: p}
-	golden := core.NewTEA(c, goldenCfg)
-	teaCfg := core.DefaultConfig()
-	teaCfg.IntervalCycles = rc.Interval
-	teaCfg.JitterCycles = rc.Jitter
-	teaCfg.Seed = rc.Seed
-	teaCfg.Prog = p
-	tea := core.NewTEA(c, teaCfg)
-	nci := profilers.NewNCITEA(rc.Interval, rc.Jitter, rc.Seed+1)
-	ibs := profilers.NewIBS(rc.Interval, rc.Jitter, rc.Seed+2)
-	spe := profilers.NewSPE(rc.Interval, rc.Jitter, rc.Seed+3)
-	ris := profilers.NewRIS(rc.Interval, rc.Jitter, rc.Seed+4)
-	counters := profilers.NewCounters()
-	eventStats := profilers.NewEventStats()
-	stalls := profilers.NewStallProbe()
-
-	br = &BenchRun{
-		Program: p, Counters: counters, Events: eventStats, Stalls: stalls,
-		Errors: map[string]error{},
-	}
-	probes = []cpu.Probe{golden, tea, nci, ibs, spe, ris, counters, eventStats, stalls}
-	br.finish = func() {
-		failed := func(name string) bool { _, bad := br.Errors[name]; return bad }
-		if !failed("golden") {
-			br.Golden = golden.Profile()
-		}
-		if !failed("tea") {
-			br.TEA = tea.Profile()
-		}
-		if !failed("nci-tea") {
-			br.NCITEA = nci.Profile()
-		}
-		if !failed("ibs") {
-			br.IBS = ibs.Profile()
-		}
-		if !failed("spe") {
-			br.SPE = spe.Profile()
-		}
-		if !failed("ris") {
-			br.RIS = ris.Profile()
-		}
-		if failed("counters") {
-			br.Counters = nil
-		}
-		if failed("events") {
-			br.Events = nil
-		}
-		if failed("stalls") {
-			br.Stalls = nil
-		}
-	}
-	return probes, br
+// technique is one evaluation technique: how to build its probe and
+// where the finished probe's result lands in a BenchRun.
+type technique struct {
+	name string
+	// build makes a fresh probe. A non-nil core wires it for live
+	// attachment; with a nil core the TEA units accumulate against p
+	// (the replay path).
+	build func(c *cpu.CPU, p *program.Program, rc RunConfig) cpu.Probe
+	// store files the result once attribution is complete (dense
+	// accumulators flush lazily).
+	store func(br *BenchRun, pr cpu.Probe)
 }
 
-// guardedProbe isolates one technique's probe: a panic in any hook
-// latches a typed error on the guard and disables the probe's
-// remaining hooks, so one broken technique cannot take down the replay
-// goroutine it shares with others — let alone the process.
-type guardedProbe struct {
-	name     string
-	workload string
-	inner    cpu.Probe
-	err      *simerr.Error
+// techniqueTable is the evaluation suite in construction order. Its
+// names key BenchRun.Errors, BenchRun.Profile and the chaos harness's
+// reports. Every sampled technique draws its own seed, so a replay of
+// any subset is byte-identical to the same techniques in a full one.
+var techniqueTable = []technique{
+	{"golden", func(c *cpu.CPU, p *program.Program, _ RunConfig) cpu.Probe {
+		return core.NewTEA(c, core.Config{Set: events.TEASet, EveryCycle: true, Prog: p})
+	}, func(br *BenchRun, pr cpu.Probe) { br.Golden = profileOf(pr) }},
+	{"tea", func(c *cpu.CPU, p *program.Program, rc RunConfig) cpu.Probe {
+		cfg := core.DefaultConfig()
+		cfg.IntervalCycles, cfg.JitterCycles, cfg.Seed, cfg.Prog = rc.Interval, rc.Jitter, rc.Seed, p
+		return core.NewTEA(c, cfg)
+	}, func(br *BenchRun, pr cpu.Probe) { br.TEA = profileOf(pr) }},
+	{"nci-tea", func(_ *cpu.CPU, _ *program.Program, rc RunConfig) cpu.Probe {
+		return profilers.NewNCITEA(rc.Interval, rc.Jitter, rc.Seed+1)
+	}, func(br *BenchRun, pr cpu.Probe) { br.NCITEA = profileOf(pr) }},
+	{"ibs", func(_ *cpu.CPU, _ *program.Program, rc RunConfig) cpu.Probe {
+		return profilers.NewIBS(rc.Interval, rc.Jitter, rc.Seed+2)
+	}, func(br *BenchRun, pr cpu.Probe) { br.IBS = profileOf(pr) }},
+	{"spe", func(_ *cpu.CPU, _ *program.Program, rc RunConfig) cpu.Probe {
+		return profilers.NewSPE(rc.Interval, rc.Jitter, rc.Seed+3)
+	}, func(br *BenchRun, pr cpu.Probe) { br.SPE = profileOf(pr) }},
+	{"ris", func(_ *cpu.CPU, _ *program.Program, rc RunConfig) cpu.Probe {
+		return profilers.NewRIS(rc.Interval, rc.Jitter, rc.Seed+4)
+	}, func(br *BenchRun, pr cpu.Probe) { br.RIS = profileOf(pr) }},
+	{"counters", func(*cpu.CPU, *program.Program, RunConfig) cpu.Probe {
+		return profilers.NewCounters()
+	}, func(br *BenchRun, pr cpu.Probe) { br.Counters = pr.(*profilers.Counters) }},
+	{"events", func(*cpu.CPU, *program.Program, RunConfig) cpu.Probe {
+		return profilers.NewEventStats()
+	}, func(br *BenchRun, pr cpu.Probe) { br.Events = pr.(*profilers.EventStats) }},
+	{"stalls", func(*cpu.CPU, *program.Program, RunConfig) cpu.Probe {
+		return profilers.NewStallProbe()
+	}, func(br *BenchRun, pr cpu.Probe) { br.Stalls = pr.(*profilers.StallProbe) }},
 }
 
-func (g *guardedProbe) catch() {
-	if v := recover(); v != nil {
-		g.err = simerr.FromPanic(v, simerr.Snapshot{Workload: g.workload, Technique: g.name})
-	}
+// profileOf materializes a profile technique's PICS.
+func profileOf(pr cpu.Probe) *pics.Profile {
+	return pr.(interface{ Profile() *pics.Profile }).Profile()
 }
 
-// OnCycle forwards the cycle hook unless the probe already failed.
-func (g *guardedProbe) OnCycle(ci *cpu.CycleInfo) {
-	if g.err != nil {
-		return
+// selectTechniques returns the table entries named, in table order.
+// An unknown name is a typed ErrInvalidConfig.
+func selectTechniques(w workloads.Workload, names []string) ([]technique, error) {
+	for _, name := range names {
+		if !slices.ContainsFunc(techniqueTable, func(t technique) bool { return t.name == name }) {
+			return nil, simerr.New(simerr.ErrInvalidConfig, simerr.Snapshot{Workload: w.Name, Technique: name},
+				"unknown technique %q", name)
+		}
 	}
-	defer g.catch()
-	g.inner.OnCycle(ci)
-}
-
-// OnFetch forwards the fetch hook unless the probe already failed.
-func (g *guardedProbe) OnFetch(r cpu.Ref, cycle uint64) {
-	if g.err != nil {
-		return
-	}
-	defer g.catch()
-	g.inner.OnFetch(r, cycle)
-}
-
-// OnDispatch forwards the dispatch hook unless the probe already failed.
-func (g *guardedProbe) OnDispatch(r cpu.Ref, cycle uint64) {
-	if g.err != nil {
-		return
-	}
-	defer g.catch()
-	g.inner.OnDispatch(r, cycle)
-}
-
-// OnCommit forwards the commit hook unless the probe already failed.
-func (g *guardedProbe) OnCommit(r cpu.Ref, cycle uint64) {
-	if g.err != nil {
-		return
-	}
-	defer g.catch()
-	g.inner.OnCommit(r, cycle)
-}
-
-// OnSquash forwards the squash hook unless the probe already failed.
-func (g *guardedProbe) OnSquash(r cpu.Ref, cycle uint64) {
-	if g.err != nil {
-		return
-	}
-	defer g.catch()
-	g.inner.OnSquash(r, cycle)
-}
-
-// OnDone forwards the end-of-run hook unless the probe already failed.
-func (g *guardedProbe) OnDone(totalCycles uint64) {
-	if g.err != nil {
-		return
-	}
-	defer g.catch()
-	g.inner.OnDone(totalCycles)
+	return slices.DeleteFunc(slices.Clone(techniqueTable), func(t technique) bool {
+		return !slices.Contains(names, t.name)
+	}), nil
 }
 
 // testExtraProbe, when non-nil, injects one extra named probe into the
-// replay partition. The panic-containment regression test uses it to
-// prove a misbehaving probe cannot crash the process or void the other
-// techniques' profiles.
+// replay partition; each call must return a fresh probe. The
+// panic-containment regression tests use it to prove a misbehaving
+// probe cannot crash the process or void the other techniques'
+// profiles.
 var testExtraProbe func() (string, cpu.Probe)
 
 // CaptureTrace runs the core exactly once with only the trace-capture
@@ -294,46 +246,58 @@ func simulate(ctx context.Context, p *program.Program, core cpu.Config) ([]byte,
 // one technique's probe only voids that technique (BenchRun.Errors);
 // the remaining techniques still produce complete profiles.
 func ReplayCaptured(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, data []byte) (*BenchRun, error) {
-	probes, br := suiteProbes(nil, p, rc)
-	br.Workload = w
+	return replay(ctx, w, p, rc, data, techniqueTable)
+}
 
-	names := append([]string(nil), techniqueNames...)
+// ReplayTechniques is ReplayCaptured for the named techniques alone:
+// only their probes are built and attached, so the cost scales with
+// the list. Each profile is byte-identical to the same technique's in
+// a full replay. Techniques not named stay nil and absent from Errors;
+// an unknown name is a typed ErrInvalidConfig.
+func ReplayTechniques(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, data []byte, names []string) (*BenchRun, error) {
+	sel, err := selectTechniques(w, names)
+	if err != nil {
+		return nil, err
+	}
+	return replay(ctx, w, p, rc, data, sel)
+}
+
+// replay attaches raw probes for sel, one replay group per goroutine,
+// with a single recover per group: the per-hook path carries no guard.
+// A group that panicked is replayed again one technique at a time,
+// each from a fresh probe under its own recover, so only a probe that
+// panics again loses its technique and the others give the same bytes.
+// The rare fault path pays for isolation; the hot path does not.
+func replay(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, data []byte, sel []technique) (*BenchRun, error) {
 	if testExtraProbe != nil {
-		name, pr := testExtraProbe()
-		names = append(names, name)
-		probes = append(probes, pr)
+		name, _ := testExtraProbe()
+		sel = append(slices.Clip(sel), technique{name: name, build: func(*cpu.CPU, *program.Program, RunConfig) cpu.Probe {
+			_, pr := testExtraProbe()
+			return pr
+		}})
 	}
-	guards := make([]*guardedProbe, len(probes))
-	for i, pr := range probes {
-		guards[i] = &guardedProbe{name: names[i], workload: w.Name, inner: pr}
+	probes := make([]cpu.Probe, len(sel))
+	for i, t := range sel {
+		probes[i] = t.build(nil, p, rc)
 	}
 
-	par := runtime.GOMAXPROCS(0)
-	if par > len(guards) {
-		par = len(guards)
-	}
+	// At least one group, so a replay of no techniques still checks
+	// the stream.
+	par := max(1, min(runtime.GOMAXPROCS(0), len(sel)))
 	streamErrs := make([]error, par)
-	panicErrs := make([]error, par)
+	panicked := make([]bool, par)
 	var wg sync.WaitGroup
 	for g := 0; g < par; g++ {
-		group := make([]cpu.Probe, 0, (len(guards)+par-1)/par)
-		for i := g; i < len(guards); i += par {
-			group = append(group, guards[i])
+		group := make([]cpu.Probe, 0, (len(sel)+par-1)/par)
+		for i := g; i < len(sel); i += par {
+			group = append(group, probes[i])
 		}
 		wg.Add(1)
-		go func(g int, ps []cpu.Probe) {
+		go func() {
 			defer wg.Done()
-			// Last-resort containment. The guards already catch probe
-			// panics, so anything surfacing here is an infrastructure
-			// bug — record it instead of letting a bare-goroutine
-			// panic kill the whole process.
-			defer func() {
-				if v := recover(); v != nil {
-					panicErrs[g] = simerr.FromPanic(v, simerr.Snapshot{Workload: w.Name})
-				}
-			}()
-			_, streamErrs[g] = trace.ReplayBytes(ctx, data, ps...)
-		}(g, group)
+			defer func() { panicked[g] = recover() != nil }()
+			_, streamErrs[g] = trace.ReplayBytes(ctx, data, group...)
+		}()
 	}
 	wg.Wait()
 	// Every group decodes the same bytes, so a decode failure (or a
@@ -343,35 +307,84 @@ func ReplayCaptured(ctx context.Context, w workloads.Workload, p *program.Progra
 			return nil, err
 		}
 	}
-	// A recovered worker panic voids only that group's techniques.
-	for g, perr := range panicErrs {
-		if perr == nil {
+
+	br := &BenchRun{Workload: w, Program: p, Errors: map[string]error{}}
+	for i, t := range sel {
+		if !panicked[i%par] {
 			continue
 		}
-		for i := g; i < len(guards); i += par {
-			if guards[i].err == nil {
-				br.Errors[names[i]] = perr
-			}
+		pr, perr, err := replayAlone(ctx, w, p, rc, data, t)
+		if err != nil {
+			return nil, err
+		}
+		if perr != nil {
+			br.Errors[t.name] = perr
+		}
+		probes[i] = pr
+	}
+	if len(br.Errors) > 0 {
+		// A probe that panics on every pass never reaches the end of
+		// the stream. Decode it once alone, so a corrupt stream still
+		// fails the whole replay instead of surfacing as probe errors.
+		if _, err := trace.ReplayBytes(ctx, data); err != nil {
+			return nil, err
 		}
 	}
-	for _, g := range guards {
-		if g.err != nil {
-			br.Errors[g.name] = g.err
-		}
-	}
-	br.finish()
+	collect(br, sel, probes)
 	return br, nil
+}
+
+// replayAlone replays a fresh probe of t by itself under its own
+// recover. A panic comes back as t's typed error; a stream error fails
+// the replay.
+func replayAlone(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, data []byte, t technique) (pr cpu.Probe, perr, err error) {
+	pr = t.build(nil, p, rc)
+	defer func() {
+		if v := recover(); v != nil {
+			perr = simerr.FromPanic(v, simerr.Snapshot{Workload: w.Name, Technique: t.name})
+		}
+	}()
+	_, err = trace.ReplayBytes(ctx, data, pr)
+	return pr, nil, err
+}
+
+// collect files every technique's result into br, skipping any
+// technique recorded in br.Errors.
+func collect(br *BenchRun, sel []technique, probes []cpu.Probe) {
+	for i, t := range sel {
+		if _, bad := br.Errors[t.name]; !bad && t.store != nil {
+			t.store(br, probes[i])
+		}
+	}
 }
 
 // RunProgramContext is the panic-free, cancellable entry point: it
 // captures the program's trace once — served from the content-addressed
 // trace store when any prior run already captured this (program, core)
 // pair — and replays it to every technique out-of-band (the paper's
-// single-trace methodology, Section 4), honoring ctx in both halves. Every failure mode — runaway programs,
-// watchdog-detected deadlock, invalid programs, corrupt streams,
-// cancellation — comes back as a typed *simerr.Error; a cancelled or
-// failed run returns a nil BenchRun, never a partial profile.
-func RunProgramContext(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig) (br *BenchRun, err error) {
+// single-trace methodology, Section 4), honoring ctx in both halves.
+// Every failure mode — runaway programs, watchdog-detected deadlock,
+// invalid programs, corrupt streams, cancellation — comes back as a
+// typed *simerr.Error; a cancelled or failed run returns a nil
+// BenchRun, never a partial profile.
+func RunProgramContext(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig) (*BenchRun, error) {
+	return run(ctx, w, p, rc, techniqueTable)
+}
+
+// RunTechniques is RunProgramContext replaying only the named
+// techniques (see ReplayTechniques); the capture is the same. An
+// unknown name fails before anything is simulated.
+func RunTechniques(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, names []string) (*BenchRun, error) {
+	sel, err := selectTechniques(w, names)
+	if err != nil {
+		return nil, err
+	}
+	return run(ctx, w, p, rc, sel)
+}
+
+// run captures p's trace once, or takes it from the trace store, and
+// replays it to sel.
+func run(ctx context.Context, w workloads.Workload, p *program.Program, rc RunConfig, sel []technique) (br *BenchRun, err error) {
 	defer func() {
 		if err != nil {
 			br = nil
@@ -382,7 +395,7 @@ func RunProgramContext(ctx context.Context, w workloads.Workload, p *program.Pro
 	if err != nil {
 		return nil, err
 	}
-	br, err = ReplayCaptured(ctx, w, p, rc, data)
+	br, err = replay(ctx, w, p, rc, data, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -403,8 +416,8 @@ func RunProgram(w workloads.Workload, p *program.Program, rc RunConfig) *BenchRu
 	if err != nil {
 		panic(asSimErr(err, w.Name))
 	}
-	for _, name := range techniqueNames {
-		if terr := br.Errors[name]; terr != nil {
+	for _, t := range techniqueTable {
+		if terr := br.Errors[t.name]; terr != nil {
 			panic(asSimErr(terr, w.Name))
 		}
 	}
@@ -427,13 +440,14 @@ func asSimErr(err error, workload string) *simerr.Error {
 // that invariant across the whole suite.
 func RunProgramLive(w workloads.Workload, p *program.Program, rc RunConfig) *BenchRun {
 	c := cpu.New(rc.Core, p)
-	probes, br := suiteProbes(c, p, rc)
-	for _, pr := range probes {
-		c.Attach(pr)
+	probes := make([]cpu.Probe, len(techniqueTable))
+	for i, t := range techniqueTable {
+		probes[i] = t.build(c, p, rc)
+		c.Attach(probes[i])
 	}
-	br.Workload = w
+	br := &BenchRun{Workload: w, Program: p, Errors: map[string]error{}}
 	br.Stats = c.Run()
-	br.finish()
+	collect(br, techniqueTable, probes)
 	return br
 }
 

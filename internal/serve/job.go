@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/pics"
 	"repro/internal/program"
 	"repro/internal/simerr"
 	"repro/internal/workloads"
@@ -443,25 +442,6 @@ func normalizeTechniques(req []string) ([]string, error) {
 	return out, nil
 }
 
-// profileByName maps a technique name to its profile in a finished run.
-func profileByName(br *analysis.BenchRun, name string) *pics.Profile {
-	switch name {
-	case "golden":
-		return br.Golden
-	case "tea":
-		return br.TEA
-	case "nci-tea":
-		return br.NCITEA
-	case "ibs":
-		return br.IBS
-	case "spe":
-		return br.SPE
-	case "ris":
-		return br.RIS
-	}
-	return nil
-}
-
 // renderProfiles serializes each requested technique's profile with the
 // same writer the CLI harness uses, so server results are
 // byte-identical to a local analysis.RunProgram. Techniques that failed
@@ -475,7 +455,7 @@ func renderProfiles(br *analysis.BenchRun, techniques []string) (map[string][]by
 			techErrs[name] = errorBody(terr)
 			continue
 		}
-		p := profileByName(br, name)
+		p := br.Profile(name)
 		if p == nil {
 			return nil, nil, simerr.New(simerr.ErrInternal, simerr.Snapshot{Technique: name},
 				"finished run holds no %q profile", name)

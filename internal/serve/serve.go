@@ -21,10 +21,11 @@
 //     (Config.QueueDepth); when it is full the server sheds load with
 //     429 + Retry-After instead of buffering unboundedly.
 //
-// Admitted jobs run through analysis.RunProgramContext, so every capture
+// Admitted jobs run through analysis.RunTechniques, so every capture
 // is deduplicated across tenants by the content-addressed trace store:
 // N tenants submitting the same (program, core configuration) cost one
-// simulation, and the rest replay shared bytes. Failures surface as the
+// simulation, and the rest replay shared bytes — each job only to the
+// techniques it requested. Failures surface as the
 // simerr taxonomy rendered into a JSON error envelope with a stable
 // kind → HTTP status mapping (see ErrorBody and docs/API.md). Job
 // cancellation — client DELETE, per-job timeout, or server shutdown —
@@ -284,7 +285,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	s.noteTransition(StatusQueued, StatusRunning)
 	s.journalAppend(j, recRunning, nil)
 
-	br, err := analysis.RunProgramContext(jctx, j.w, j.prog, j.rc)
+	br, err := analysis.RunTechniques(jctx, j.w, j.prog, j.rc, j.techniques)
 	end := s.cfg.Now()
 	if err != nil {
 		body := errorBody(err)

@@ -150,12 +150,8 @@ func localProfiles(t *testing.T, w workloads.Workload, rc analysis.RunConfig, te
 	br := analysis.RunProgram(w, w.Build(rc.Iters(w)), rc)
 	out := make(map[string][]byte, len(techniques))
 	for _, name := range techniques {
-		p := map[string]interface{ WriteJSON(io.Writer) error }{
-			"golden": br.Golden, "tea": br.TEA, "nci-tea": br.NCITEA,
-			"ibs": br.IBS, "spe": br.SPE, "ris": br.RIS,
-		}[name]
 		var buf bytes.Buffer
-		if err := p.WriteJSON(&buf); err != nil {
+		if err := br.Profile(name).WriteJSON(&buf); err != nil {
 			t.Fatalf("local %s profile: %v", name, err)
 		}
 		out[name] = buf.Bytes()
@@ -202,6 +198,42 @@ func TestSubmitByteIdenticalProfiles(t *testing.T) {
 	resp, data := getJSON(t, ts.url("/v1/jobs/"+id+"/profiles/doom"))
 	if resp.StatusCode != http.StatusNotFound || errorKind(t, data) != "not_found" {
 		t.Errorf("unknown technique profile: %d %s", resp.StatusCode, data)
+	}
+}
+
+// TestSubsetJobByteIdentical pins selective replay at the service
+// boundary: a job that asks for two techniques replays only those, and
+// their raw bytes equal a full local analysis.RunProgram's.
+func TestSubsetJobByteIdentical(t *testing.T) {
+	ts := startServer(t, serve.Config{Workers: 2})
+	techniques := []string{"ibs", "golden"}
+	id := submit(t, ts, `{"tenant":"t1","workload":"xz","techniques":["ibs","golden"],"config":{"scale":0.05}}`)
+	view := await(t, ts, id)
+	if view.Status != serve.StatusDone || len(view.TechniqueErrors) != 0 {
+		t.Fatalf("job finished %s (error %+v, technique errors %+v), want done", view.Status, view.Error, view.TechniqueErrors)
+	}
+	if len(view.Profiles) != len(techniques) {
+		t.Errorf("job returned %d profiles, want %d", len(view.Profiles), len(techniques))
+	}
+
+	w, err := workloads.ByName("xz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := analysis.DefaultRunConfig()
+	rc.Scale = 0.05
+	want := localProfiles(t, w, rc, techniques)
+	for _, name := range techniques {
+		resp, got := getJSON(t, ts.url("/v1/jobs/"+id+"/profiles/"+name))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("raw %s profile: got %d; body: %s", name, resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, want[name]) {
+			t.Errorf("%s profile differs from local run (%d vs %d bytes)", name, len(got), len(want[name]))
+		}
+	}
+	if resp, _ := getJSON(t, ts.url("/v1/jobs/"+id+"/profiles/tea")); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unrequested tea profile: got %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -488,6 +520,10 @@ func TestStream(t *testing.T) {
 // tenants cost exactly one capture — the singleflight trace store is
 // shared across the pool.
 func TestDedupAcrossTenants(t *testing.T) {
+	// A fresh trace store: a capture an earlier run in this process
+	// left behind must not satisfy the jobs below.
+	prev := analysis.SetTraceStore(analysis.NewTraceStore(analysis.DefaultStoreBudget, ""))
+	t.Cleanup(func() { analysis.SetTraceStore(prev) })
 	ts := startServer(t, serve.Config{Workers: 4, QueueDepth: 64})
 	before := analysis.CaptureCount()
 

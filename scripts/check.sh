@@ -9,6 +9,11 @@ go build ./...
 go vet ./...
 go test -race ./...
 
+# Flake probe: every test runs twice in one process, so a test that
+# leans on state an earlier run left behind (a process-wide trace store
+# entry, a global counter) fails here instead of passing by run order.
+go test -count=2 ./internal/...
+
 # TEA invariant lint suite. `make lint` owns building the tealint
 # binary and runs all three modes (standalone, vet-tool, -json smoke),
 # so the gate and the Makefile cannot drift apart.
